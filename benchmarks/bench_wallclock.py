@@ -366,6 +366,10 @@ def bench_exactly_once(messages: int, repeats: int) -> dict:
     latency over the at-least-once arm's on identical input (acceptance
     ceiling <=1.5x — transactions stage every output at acks=all and pay
     commit markers at each checkpoint, but must not dominate the pipeline).
+    Both arms run at the same batching, the default
+    ``JobConfig.linger_messages``: the at-least-once sink ships a batch per
+    partition at the end of each pass, the exactly-once sink when a batch
+    fills or at commit.
     """
     best_alo, best_eo = float("inf"), float("inf")
     sim_alo = sim_eo = 0.0

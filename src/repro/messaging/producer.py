@@ -100,12 +100,15 @@ class Producer:
         self.retry_backoff = config.retry_backoff
         self.retry_backoff_max = config.retry_backoff_max
         # Deterministic jitter: seeded from the producer id unless the caller
-        # pins a seed (chaos soaks do, for byte-identical replays).
-        self._retry_rng = random.Random(
+        # pins a seed (chaos soaks do, for byte-identical replays).  Seeding
+        # costs more than the rest of construction, so it waits for the
+        # first retry; most producers never retry.
+        self._retry_seed = (
             self.producer_id
             if config.retry_jitter_seed is None
             else config.retry_jitter_seed
         )
+        self._retry_rng: random.Random | None = None
         self._round_robin: dict[str, itertools.count] = {}
         self._sequences: dict[TopicPartition, int] = {}
         self._buffers: dict[TopicPartition, list[tuple[Any, Any, float | None, dict[str, Any]]]] = {}
@@ -351,14 +354,20 @@ class Producer:
         delay = min(
             self.retry_backoff_max, self.retry_backoff * (2 ** (attempts - 1))
         )
+        if self._retry_rng is None:
+            self._retry_rng = random.Random(self._retry_seed)
         return delay * (0.5 + 0.5 * self._retry_rng.random())
 
-    def pending(self) -> int:
-        """Records buffered or parked after a failure, not yet acked."""
-        buffered = sum(len(b) for b in self._buffers.values())
+    def pending(self, tp: TopicPartition | None = None) -> int:
+        """Records buffered or parked after a failure, not yet acked
+        (only those bound for ``tp`` when given)."""
+        buffered = sum(
+            len(b) for p, b in self._buffers.items() if tp in (None, p)
+        )
         parked = sum(
             len(entries)
-            for batches in self._failed_batches.values()
+            for p, batches in self._failed_batches.items()
+            if tp in (None, p)
             for _seq, entries in batches
         )
         return buffered + parked

@@ -476,6 +476,13 @@ class TransactionalProducer:
             acks.append(self._produce_batch(tp, self._buffers.pop(tp)))
         return acks
 
+    def pending(self, tp: TopicPartition | None = None) -> int:
+        """Staged records not yet produced (only those for ``tp`` when
+        given)."""
+        if tp is not None:
+            return len(self._buffers.get(tp, ()))
+        return sum(len(b) for b in self._buffers.values())
+
     def _produce_batch(self, tp, batch):
         """One produce of staged entries, retried under its base sequence."""
         entries = [entry for entry, _seq in batch]

@@ -96,10 +96,10 @@ class JobConfig:
     changelog_replication: int = 1
     changelog_segment_messages: int = 1000  # smaller = compaction kicks in sooner
     processing_guarantee: str = AT_LEAST_ONCE
-    #: Exactly-once only: staged records per partition before the task's
-    #: transactional producer ships a batch (the rest flush at commit).
-    #: Batching amortizes the acks=all round trip each staged write pays.
-    txn_linger_messages: int = 16
+    #: Records per partition a task's output sink buffers before it ships a
+    #: batch, under either guarantee.  The rest ship at the end of the
+    #: task's pass (at-least-once) or at the checkpoint (exactly-once).
+    linger_messages: int = 64
     #: Warm store copies per task, kept on other containers by tailing the
     #: changelog.  Failover and elastic migration promote one and pay only
     #: the catch-up tail instead of a full changelog restore, and the
@@ -118,8 +118,8 @@ class JobConfig:
             raise JobConfigError(f"job {self.name!r} declares no inputs")
         if self.checkpoint_interval <= 0:
             raise JobConfigError("checkpoint_interval must be > 0")
-        if self.txn_linger_messages < 1:
-            raise JobConfigError("txn_linger_messages must be >= 1")
+        if self.linger_messages < 1:
+            raise JobConfigError("linger_messages must be >= 1")
         if self.window_interval is not None and self.window_interval <= 0:
             raise JobConfigError("window_interval must be > 0")
         if self.num_standby_replicas < 0:
@@ -144,8 +144,136 @@ class PollResult:
     latency: float = 0.0
 
 
+class _OutputSink:
+    """Everything one task writes: emits, changelog entries, its commit.
+
+    Records are stamped when the task writes them, not when their batch
+    ships, so what lands in the log does not depend on the batching.
+    ``send`` returns the ack latency to charge to the pass (0.0 while the
+    record is buffered); changelog acks are never charged.
+    """
+
+    def __init__(self, clock, checkpoints: CheckpointManager) -> None:
+        self.clock = clock
+        self.checkpoints = checkpoints
+
+    # Subclasses provide _outputs() / _changelog(): the producer a write
+    # goes through, opening the unit of work the next commit() closes.
+
+    def send(self, emit: Emit, headers: dict[str, Any] | None) -> float:
+        timestamp = emit.timestamp
+        if timestamp is None:
+            timestamp = self.clock.now()
+        ack = self._outputs().send(
+            emit.topic,
+            emit.value,
+            key=emit.key,
+            partition=emit.partition,
+            timestamp=timestamp,
+            headers=headers,
+        )
+        return ack.latency if ack is not None else 0.0
+
+    def append(self, topic: str, key: Any, value: Any, partition: int) -> None:
+        self._changelog().send(
+            topic, value, key=key, partition=partition, timestamp=self.clock.now()
+        )
+
+
+class _BufferedSink(_OutputSink):
+    """At-least-once: two lingering producers, flushed at the end of every
+    pass and again before the offsets commit, so a checkpoint never covers
+    a write that is not in the log."""
+
+    def __init__(
+        self, cluster, checkpoints, acks: str, linger: int, jitter: int
+    ) -> None:
+        super().__init__(cluster.clock, checkpoints)
+        self.output = Producer(
+            cluster, acks=acks, linger_messages=linger, retry_jitter_seed=jitter
+        )
+        # Changelog writes are the job's state durability: they always use
+        # acks=all, independent of the output acks, so a checkpointed input
+        # offset can never outlive the state updates it implies.  (This is
+        # the paper's "fall back to the highly-available messaging layer".)
+        self.changelog = Producer(
+            cluster, acks="all", linger_messages=linger,
+            retry_jitter_seed=jitter + 1,
+        )
+        #: Whether anything was written since the last commit.
+        self.uncommitted = False
+
+    def _outputs(self) -> Producer:
+        self.uncommitted = True
+        return self.output
+
+    def _changelog(self) -> Producer:
+        self.uncommitted = True
+        return self.changelog
+
+    def end_pass(self) -> float:
+        self.changelog.flush()
+        return sum(ack.latency for ack in self.output.flush())
+
+    def commit(self, positions, metadata: dict[str, Any]) -> None:
+        self.end_pass()
+        self.checkpoints.commit(dict(positions), metadata)
+        self.uncommitted = False
+
+    def unsent(self, tp: TopicPartition) -> int:
+        return self.output.pending(tp) + self.changelog.pending(tp)
+
+
+class _TransactionalSink(_OutputSink):
+    """Exactly-once: one transactional producer.  Staged records ship when
+    a partition's batch is full or at commit; the checkpoint IS the
+    transaction commit."""
+
+    def __init__(self, cluster, checkpoints, txn_id: str, linger: int) -> None:
+        super().__init__(cluster.clock, checkpoints)
+        # Re-initializing the stable id bumps the epoch: zombies of the
+        # previous incarnation are fenced, an undecided crashed transaction
+        # aborts, a decided one rolls forward.
+        self.producer = TransactionalProducer(
+            cluster, txn_id, linger_messages=linger
+        )
+
+    @property
+    def uncommitted(self) -> bool:
+        return self.producer.in_transaction
+
+    def _outputs(self) -> TransactionalProducer:
+        # Transactions begin lazily at the first write after a commit and
+        # stay open until the next checkpoint boundary.
+        if not self.producer.in_transaction:
+            self.producer.begin()
+        return self.producer
+
+    _changelog = _outputs
+
+    def end_pass(self) -> float:
+        # Staged writes are invisible until commit anyway: nothing to ship.
+        return 0.0
+
+    def commit(self, positions, metadata: dict[str, Any]) -> None:
+        if self.producer.in_transaction:
+            # Outputs, changelog entries and input offsets become visible
+            # atomically (or not at all).
+            self.checkpoints.commit_transactional(
+                self.producer, positions, metadata
+            )
+            self.producer.commit()
+        else:
+            # Nothing was written since the last commit (the task filtered
+            # everything): positions alone commit directly.
+            self.checkpoints.commit(dict(positions), metadata)
+
+    def unsent(self, tp: TopicPartition) -> int:
+        return self.producer.pending(tp)
+
+
 class _TaskInstance:
-    """Runtime state of one task: user logic + positions + stores."""
+    """Runtime state of one task: user logic + positions + stores + sink."""
 
     def __init__(
         self,
@@ -154,12 +282,14 @@ class _TaskInstance:
         partitions: list[TopicPartition],
         stores: dict[str, KeyValueState],
         context: TaskContext,
+        sink: _OutputSink,
     ) -> None:
         self.task_id = task_id
         self.task = task
         self.partitions = partitions
         self.stores = stores
         self.context = context
+        self.sink = sink
         self.positions: dict[TopicPartition, int] = {}
         self.records_since_checkpoint = 0
         self.last_window_at = 0.0
@@ -198,26 +328,13 @@ class JobRunner:
         # Retry jitter seeded from the job name, not the process-global
         # producer id: a job's send latencies must replay identically no
         # matter how many producers other code created first.
-        jitter = zlib.crc32(config.name.encode())
+        self._jitter = zlib.crc32(config.name.encode())
         self.exactly_once = config.processing_guarantee == EXACTLY_ONCE
         # Under exactly-once every read in the job — inputs and changelog
         # restores — is read_committed, so neither open nor aborted
         # transactions (our own or an upstream job's) are ever observed.
         self.isolation = (
             "read_committed" if self.exactly_once else "read_uncommitted"
-        )
-        #: task_id -> fenced transactional producer (exactly-once only).
-        #: Rebuilt by ``_build_tasks`` so restart and migration epoch-bump.
-        self._txn_producers: dict[int, TransactionalProducer] = {}
-        self.producer = Producer(
-            cluster, acks=config.acks, retry_jitter_seed=jitter
-        )
-        # Changelog writes are the job's state durability: they always use
-        # acks=all, independent of the output acks, so a checkpointed input
-        # offset can never outlive the state updates it implies.  (This is
-        # the paper's "fall back to the highly-available messaging layer".)
-        self._changelog_producer = Producer(
-            cluster, acks="all", retry_jitter_seed=jitter + 1
         )
         self.checkpoints = CheckpointManager(cluster.offset_manager, config.name)
         self.cpu_cost = (
@@ -277,16 +394,9 @@ class JobRunner:
     def _build_tasks(self) -> None:
         self._tasks = []
         for task_id in range(self.num_tasks):
-            if self.exactly_once:
-                # Re-initializing the stable id bumps the epoch: zombies of
-                # the previous incarnation are fenced, an undecided crashed
-                # transaction aborts, a decided one rolls forward — all
-                # *before* the changelog restore reads read_committed.
-                self._txn_producers[task_id] = TransactionalProducer(
-                    self.cluster,
-                    transactional_id(self.config.name, task_id),
-                    linger_messages=self.config.txn_linger_messages,
-                )
+            # Built first: under exactly-once this settles the previous
+            # incarnation's transaction *before* the changelog restore reads.
+            sink = self._new_sink(task_id)
             partitions = [
                 TopicPartition(topic, task_id)
                 for topic in self.config.inputs
@@ -301,13 +411,33 @@ class JobRunner:
                 processing_guarantee=self.config.processing_guarantee,
             )
             task = self.config.task_factory()
-            instance = _TaskInstance(task_id, task, partitions, stores, context)
+            instance = _TaskInstance(
+                task_id, task, partitions, stores, context, sink
+            )
             self._seed_positions(instance)
             instance.last_window_at = self.clock.now()
+            # Registered before init(): a store write in init() goes
+            # through the task's sink, found by task id.
+            self._tasks.append(instance)
             init = getattr(task, "init", None)
             if callable(init):
                 init(context)
-            self._tasks.append(instance)
+
+    def _new_sink(self, task_id: int) -> _OutputSink:
+        if self.exactly_once:
+            return _TransactionalSink(
+                self.cluster,
+                self.checkpoints,
+                transactional_id(self.config.name, task_id),
+                self.config.linger_messages,
+            )
+        return _BufferedSink(
+            self.cluster,
+            self.checkpoints,
+            self.config.acks,
+            self.config.linger_messages,
+            self._jitter + 2 * task_id,  # a jitter stream per producer
+        )
 
     def _build_stores(self, task_id: int) -> dict[str, KeyValueState]:
         stores: dict[str, KeyValueState] = {}
@@ -317,17 +447,12 @@ class JobRunner:
                 topic = changelog_topic_name(self.config.name, store_config.name)
 
                 def append(key: Any, value: Any, _topic=topic, _p=task_id) -> None:
-                    if self.exactly_once:
-                        # State updates join the task's transaction: a
-                        # changelog entry is only ever restored if the
-                        # outputs and offsets it belongs with committed.
-                        self._txn_producer(_p).send(
-                            _topic, value, key=_key_wrap(key), partition=_p
-                        )
-                    else:
-                        self._changelog_producer.send(
-                            _topic, value, key=_key_wrap(key), partition=_p
-                        )
+                    # Resolved per write: migrate_task swaps in the new
+                    # incarnation's sink only once its restore succeeded.
+                    # Under exactly-once the entry joins the task's
+                    # transaction, so it is only ever restored if the
+                    # outputs and offsets it belongs with committed.
+                    self._tasks[_p].sink.append(_topic, _key_wrap(key), value, _p)
 
             stores[store_config.name] = KeyValueState(
                 store_config.name,
@@ -344,18 +469,6 @@ class JobRunner:
                 instance.positions[tp] = commit.offset
             else:
                 instance.positions[tp] = self.cluster.beginning_offset(tp)
-
-    def _txn_producer(self, task_id: int) -> TransactionalProducer:
-        """The task's transactional producer, with a transaction open.
-
-        Transactions begin lazily at the first write (emit or changelog
-        entry) after a commit and stay open until the next checkpoint
-        boundary — the checkpoint *is* the commit.
-        """
-        producer = self._txn_producers[task_id]
-        if not producer.in_transaction:
-            producer.begin()
-        return producer
 
     # -- standby replicas / snapshots (serving + fast failover) ------------------------
 
@@ -465,6 +578,16 @@ class JobRunner:
     def snapshot_time(self, task_id: int) -> float | None:
         """Simulated time the task's snapshot bound was last advanced."""
         return self._snapshot_times.get(task_id)
+
+    def unsent(self, task_id: int, tp: TopicPartition) -> int:
+        """Records the task wrote to ``tp`` that its sink has not shipped.
+
+        For a changelog partition these are part of any store copy's lag
+        behind the live store, though no log offset counts them yet.
+        """
+        if task_id >= len(self._tasks):
+            return 0  # crashed: the unsent records died with the task
+        return self._tasks[task_id].sink.unsent(tp)
 
     def standby_replicas(self, task_id: int) -> list[dict[str, StandbyReplica]]:
         """The task's live standby sets (possibly empty), freshest first."""
@@ -593,6 +716,7 @@ class JobRunner:
                 instance.positions[tp], fetched.next_offset
             )
         self._maybe_window(instance, result)
+        result.latency += instance.sink.end_pass()
         if instance.records_since_checkpoint >= self.config.checkpoint_interval:
             self._checkpoint_task(instance)
 
@@ -607,28 +731,7 @@ class JobRunner:
             headers = emit.headers
             if ctx is not None:
                 headers = {**(headers or {}), TRACE_HEADER: ctx}
-            if self.exactly_once:
-                # Staged inside the task's transaction: invisible to
-                # read_committed readers until the checkpoint commits.
-                ack = self._txn_producer(instance.task_id).send(
-                    emit.topic,
-                    emit.value,
-                    key=emit.key,
-                    partition=emit.partition,
-                    timestamp=emit.timestamp,
-                    headers=headers,
-                )
-            else:
-                ack = self.producer.send(
-                    emit.topic,
-                    emit.value,
-                    key=emit.key,
-                    partition=emit.partition,
-                    timestamp=emit.timestamp,
-                    headers=headers,
-                )
-            if ack is not None:
-                result.latency += ack.latency
+            result.latency += instance.sink.send(emit, headers)
         result.records_emitted += len(emits)
         self.records_emitted += len(emits)
 
@@ -713,22 +816,7 @@ class JobRunner:
             # (the open transaction's tail lands at commit); the in-memory
             # post-commit _record_snapshot value is the authoritative bound.
             metadata[CHANGELOG_OFFSETS_KEY] = stamp
-        if self.exactly_once:
-            producer = self._txn_producers[instance.task_id]
-            if producer.in_transaction:
-                # The checkpoint IS the transaction commit: outputs,
-                # changelog entries, and input offsets become visible
-                # atomically (or not at all).
-                self.checkpoints.commit_transactional(
-                    producer, instance.positions, metadata
-                )
-                producer.commit()
-            else:
-                # Nothing was written since the last commit (the task
-                # filtered everything): positions alone commit directly.
-                self.checkpoints.commit(dict(instance.positions), metadata)
-        else:
-            self.checkpoints.commit(dict(instance.positions), metadata)
+        instance.sink.commit(instance.positions, metadata)
         instance.records_since_checkpoint = 0
         self._record_snapshot(instance.task_id)
         self._catch_up_standbys(instance.task_id)
@@ -786,7 +874,8 @@ class JobRunner:
     # -- failure / recovery (§3.2) ----------------------------------------------------------
 
     def crash(self) -> None:
-        """Simulate a container crash: all in-memory task state is lost.
+        """Simulate a container crash: all in-memory task state is lost,
+        output the tasks' sinks had not yet shipped included.
 
         Standby replicas survive — they live on other containers, which is
         the whole reason :meth:`recover` can promote one instead of
@@ -825,23 +914,16 @@ class JobRunner:
         from repro.processing.recovery import restore_task_state  # local: avoid cycle
 
         old = self._tasks[task_id]
-        if self.exactly_once:
-            producer = self._txn_producers[task_id]
-            if producer.in_transaction:
-                # Commit-or-abort before the task moves: the new container
-                # must not inherit an open transaction.  Everything staged
-                # so far is fully processed work, so it commits — together
-                # with the positions that account for it.
-                self.checkpoints.commit_transactional(
-                    producer,
-                    old.positions,
-                    {
-                        "software_version": self.config.version,
-                        "task_id": task_id,
-                    },
-                )
-                producer.commit()
-                old.records_since_checkpoint = 0
+        if old.sink.uncommitted:
+            # Commit before the task moves: the new container must not
+            # inherit an open transaction or unsent output.  Everything
+            # written so far is fully processed work, so it commits —
+            # together with the positions that account for it.
+            old.sink.commit(
+                old.positions,
+                {"software_version": self.config.version, "task_id": task_id},
+            )
+            old.records_since_checkpoint = 0
         stores = self._build_stores(task_id)
         context = TaskContext(
             self.config.name,
@@ -851,7 +933,9 @@ class JobRunner:
             processing_guarantee=self.config.processing_guarantee,
         )
         task = self.config.task_factory()
-        instance = _TaskInstance(task_id, task, old.partitions, stores, context)
+        instance = _TaskInstance(
+            task_id, task, old.partitions, stores, context, old.sink
+        )
         self._tasks[task_id] = instance
         try:
             report = restore_task_state(self, task_id)
@@ -861,14 +945,10 @@ class JobRunner:
             # container keeps the task; the controller may retry later.
             self._tasks[task_id] = old
             raise
-        if self.exactly_once:
-            # Fresh incarnation on the new container: the epoch bump fences
-            # any zombie writes from the task's previous home.
-            self._txn_producers[task_id] = TransactionalProducer(
-                self.cluster,
-                transactional_id(self.config.name, task_id),
-                linger_messages=self.config.txn_linger_messages,
-            )
+        # Fresh sink on the new container, built only now that the move
+        # stands: under exactly-once its epoch bump fences any zombie
+        # writes from the task's previous home.
+        instance.sink = self._new_sink(task_id)
         instance.last_window_at = self.clock.now()
         self._record_snapshot(task_id)
         init = getattr(task, "init", None)

@@ -136,7 +136,9 @@ class StateServer:
             )
             self._snapshot_followers[store] = follower
         follower.catch_up(limit_offset=bound)
-        lag = max(0, self.runner.cluster.end_offset(follower.tp) - bound)
+        lag = max(
+            0, self.runner.cluster.end_offset(follower.tp) - bound
+        ) + self.runner.unsent(self.task_id, follower.tp)
         snapshot_time = self.runner.snapshot_time(self.task_id)
         staleness_seconds = (
             0.0 if snapshot_time is None else max(0.0, self.clock.now() - snapshot_time)
@@ -153,8 +155,13 @@ class StateServer:
         worst: dict[str, int] = {}
         for replicas in self.runner.standby_replicas(self.task_id):
             for store, replica in replicas.items():
-                worst[store] = max(worst.get(store, 0), replica.lag())
+                worst[store] = max(worst.get(store, 0), self._lag(replica))
         return worst
+
+    def _lag(self, replica: StandbyReplica) -> int:
+        """Records ``replica`` is behind the live store: the changelog tail
+        it has not applied plus entries the task's sink has not shipped."""
+        return replica.lag() + self.runner.unsent(self.task_id, replica.tp)
 
     def _standby_store(self, store: str) -> tuple[Any, int, float] | None:
         """A warm standby's store for stale-tolerant reads, or ``None``."""
@@ -167,7 +174,7 @@ class StateServer:
         if replica is None:
             return None
         staleness_seconds = max(0.0, self.clock.now() - replica.caught_up_at)
-        return replica.store, replica.lag(), staleness_seconds
+        return replica.store, self._lag(replica), staleness_seconds
 
     def _select(
         self, store: str, consistency: str, allow_stale: bool

@@ -218,7 +218,7 @@ class TestCrashRecovery:
         _clock, cluster, _producer = make_env(partitions=1, n=10)
         runner = JobRunner(eo_config(checkpoint_interval=100), cluster)
         runner.poll_once(max_messages=3)
-        zombie = runner._txn_producers[0]
+        zombie = runner.task(0).sink.producer
         runner.crash()
         runner.recover()
         with pytest.raises(ProducerFencedError):
@@ -259,9 +259,9 @@ class TestMigration:
     def test_migration_bumps_epoch_and_fences(self):
         _clock, cluster, _producer = make_env(partitions=2, n=20)
         runner = JobRunner(eo_config(), cluster)
-        old_producer = runner._txn_producers[0]
+        old_producer = runner.task(0).sink.producer
         runner.migrate_task(0)
-        assert runner._txn_producers[0].epoch > old_producer.epoch
+        assert runner.task(0).sink.producer.epoch > old_producer.epoch
         with pytest.raises(ProducerFencedError):
             old_producer.begin()
 

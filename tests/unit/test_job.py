@@ -64,6 +64,8 @@ class TestConfigValidation:
             {"name": "j", "inputs": ["a"], "task_factory": EchoTask,
              "window_interval": 0},
             {"name": "j", "inputs": ["a"], "task_factory": EchoTask,
+             "linger_messages": 0},
+            {"name": "j", "inputs": ["a"], "task_factory": EchoTask,
              "stores": [StoreConfig("s"), StoreConfig("s")]},
         ],
     )

@@ -131,6 +131,25 @@ EXPECTED_PRODUCER_CONFIG_FIELDS = sorted(
     ]
 )
 
+EXPECTED_JOB_CONFIG_FIELDS = sorted(
+    [
+        "name",
+        "inputs",
+        "task_factory",
+        "stores",
+        "checkpoint_interval",
+        "window_interval",
+        "version",
+        "acks",
+        "cpu_cost_per_message",
+        "changelog_replication",
+        "changelog_segment_messages",
+        "processing_guarantee",
+        "linger_messages",
+        "num_standby_replicas",
+    ]
+)
+
 EXPECTED_CONSUMER_CONFIG_FIELDS = sorted(
     [
         "group",
@@ -171,6 +190,10 @@ class TestConfigSnapshots:
     def test_consumer_config_fields(self):
         names = sorted(f.name for f in dataclasses.fields(ConsumerConfig))
         assert names == EXPECTED_CONSUMER_CONFIG_FIELDS
+
+    def test_job_config_fields(self):
+        names = sorted(f.name for f in dataclasses.fields(api.JobConfig))
+        assert names == EXPECTED_JOB_CONFIG_FIELDS
 
     def test_configs_are_frozen(self):
         config = ProducerConfig()
