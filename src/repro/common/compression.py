@@ -36,7 +36,7 @@ import zlib
 from typing import Any
 
 from repro.common.errors import ConfigError
-from repro.common.records import TRACE_HEADER, estimate_size
+from repro.common.records import TRACE_HEADER, payload_size
 
 #: Supported codec names.
 CODEC_NONE = "none"
@@ -126,8 +126,11 @@ class BatchFrame:
     ``payload`` is the zlib-compressed canonical serialization of the
     batch's ``(key, value, timestamp, headers)`` entries (headers minus the
     reserved ``__trace`` key).  :meth:`entries` inflates it lazily through a
-    memoryview and memoizes the result, so a frame that is never read is
-    never decompressed.
+    memoryview, so a frame that is never read is never decompressed.
+    Nothing is kept on the frame: a frame lives as long as its log segment,
+    and a memoized entry list would pin every record it ever inflated
+    (readers such as :class:`~repro.messaging.fetchbuffer.FetchBatch` keep
+    the records they need).  ``inflated`` records that a decode happened.
     """
 
     __slots__ = (
@@ -141,7 +144,7 @@ class BatchFrame:
         "trace_contexts",
         "producer_id",
         "producer_seq",
-        "_entries",
+        "inflated",
     )
 
     def __init__(
@@ -166,24 +169,19 @@ class BatchFrame:
         # batch header too); set by the producer after sequence allocation.
         self.producer_id: int | None = None
         self.producer_seq: int | None = None
-        self._entries: list | None = None
+        self.inflated = False
 
     # -- payload access ------------------------------------------------------
 
     def entries(self) -> list[tuple[Any, Any, float | None, dict[str, Any]]]:
-        """Inflate the payload (once) and return the canonical entries.
+        """Inflate the payload and return the canonical entries.
 
         The decompressor is handed a :class:`memoryview` over the payload so
         no intermediate copy of the compressed blob is made.
         """
-        if self._entries is None:
-            raw = decode_payload(memoryview(self.payload), self.codec)
-            self._entries = pickle.loads(raw)
-        return self._entries
-
-    @property
-    def inflated(self) -> bool:
-        return self._entries is not None
+        raw = decode_payload(memoryview(self.payload), self.codec)
+        self.inflated = True
+        return pickle.loads(raw)
 
     @property
     def ratio(self) -> float:
@@ -232,8 +230,7 @@ def compress_entries(
     except Exception:
         return None  # unpicklable payload: fall back to uncompressed
     sizes = tuple(
-        estimate_size(key) + estimate_size(value) + estimate_size(headers)
-        for key, value, _ts, headers in clean
+        payload_size(key, value, headers) for key, value, _ts, headers in clean
     )
     payload = encode_payload(raw, codec, level)
     return BatchFrame(

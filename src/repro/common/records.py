@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Mapping as _AbcMapping
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 
 #: Per-record framing overhead charged by the log (offset, length, crc).
@@ -70,6 +70,8 @@ def estimate_size(value: Any) -> int:
 
 def _estimate_size_slow(value: Any) -> int:
     """Subclass / exotic-type fallback for :func:`estimate_size`."""
+    if isinstance(value, StoredMessage):
+        return _STORED_MESSAGE_ESTIMATE
     if isinstance(value, bytes):
         return len(value)
     if isinstance(value, str):
@@ -110,46 +112,96 @@ class ProducerRecord:
     headers: dict[str, Any] = field(default_factory=dict)
 
     def size_bytes(self) -> int:
-        return (
-            estimate_size(self.key)
-            + estimate_size(self.value)
-            + estimate_size(self.headers)
-        )
+        return payload_size(self.key, self.value, self.headers)
 
 
-@dataclass(slots=True)
-class StoredMessage:
+class _StoredMessageFields(NamedTuple):
+    key: Any
+    value: Any
+    timestamp: float
+    offset: int
+    headers: dict[str, Any]
+    size: int
+    stored_size: int
+
+
+class StoredMessage(_StoredMessageFields):
     """A message at rest inside a log segment.
 
     Offsets are positional: ``segment.base_offset + index``.  Storing them
     implicitly keeps compaction simple (surviving messages keep their
     original offsets via an explicit field set at append time).
+
+    ``size`` is the record's *logical* payload plus log framing (what a
+    consumer is billed for); ``stored_size`` is its *physical* footprint —
+    its share of the (possibly compressed) batch frame it arrived in.
+    Segments, the page cache, replication and the cold tier all move
+    physical bytes, so they charge stored_size; uncompressed records occupy
+    exactly their logical size.
+
+    Records are immutable tuples, so a follower appends the very objects
+    its leader stores instead of copying them.  The constructor fills in
+    ``size`` (and ``stored_size``) when they are left at 0; the append paths
+    know both already and build records with :func:`stored_message`, which
+    never walks the payload again.
     """
 
-    key: Any
-    value: Any
-    timestamp: float
-    offset: int
-    headers: dict[str, Any] = field(default_factory=dict)
-    size: int = 0
-    stored_size: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size == 0:
-            self.size = (
-                estimate_size(self.key)
-                + estimate_size(self.value)
-                + estimate_size(self.headers)
-                + RECORD_FRAMING_BYTES
-            )
-        # ``size`` is the record's *logical* payload (what a consumer is
-        # billed for); ``stored_size`` is its *physical* footprint — its
-        # share of the (possibly compressed) batch frame it arrived in.
-        # Segments, the page cache, replication and the cold tier all move
-        # physical bytes, so they charge stored_size; uncompressed records
-        # occupy exactly their logical size.
-        if self.stored_size == 0:
-            self.stored_size = self.size
+    def __new__(
+        cls,
+        key: Any,
+        value: Any,
+        timestamp: float,
+        offset: int,
+        headers: dict[str, Any] | None = None,
+        size: int = 0,
+        stored_size: int = 0,
+    ) -> "StoredMessage":
+        if headers is None:
+            headers = {}
+        if size == 0:
+            size = payload_size(key, value, headers) + RECORD_FRAMING_BYTES
+        if stored_size == 0:
+            stored_size = size
+        return _tuple_new(
+            cls, (key, value, timestamp, offset, headers, size, stored_size)
+        )
+
+
+_tuple_new = tuple.__new__
+
+
+class _SlottedRecordShell:
+    __slots__ = _StoredMessageFields._fields
+
+
+#: What :func:`estimate_size` charges for a whole :class:`StoredMessage` —
+#: the simulated DFS sizes archived segments record by record this way.  It
+#: is the object-shell size records had as slotted objects (88 bytes on
+#: 64-bit CPython), kept so archive sizes and every simulated cost derived
+#: from them are unchanged by records becoming tuples.
+_STORED_MESSAGE_ESTIMATE = sys.getsizeof(_SlottedRecordShell())
+
+
+def stored_message(
+    key: Any,
+    value: Any,
+    timestamp: float,
+    offset: int,
+    headers: dict[str, Any],
+    size: int,
+    stored_size: int,
+) -> StoredMessage:
+    """Build a :class:`StoredMessage` from sizes the caller already knows."""
+    return _tuple_new(
+        StoredMessage, (key, value, timestamp, offset, headers, size, stored_size)
+    )
+
+
+def payload_size(key: Any, value: Any, headers: Any) -> int:
+    """Logical payload bytes of one record (excluding log framing)."""
+    return estimate_size(key) + estimate_size(value) + estimate_size(headers)
 
 
 @dataclass(frozen=True, slots=True)

@@ -140,13 +140,17 @@ class Broker:
         producer_id: int | None = None,
         producer_seq: int | None = None,
         frame: BatchFrame | None = None,
+        sizes: list[int] | tuple[int, ...] | None = None,
     ) -> tuple[ProduceResult, float]:
-        """Append a batch on the leader replica; returns (result, latency)."""
+        """Append a batch on the leader replica; returns (result, latency).
+
+        ``sizes`` are the entries' payload bytes, computed once upstream.
+        """
         failpoint("broker.produce", broker=self.broker_id, partition=partition)
         self._check_online()
         replica = self.replica(partition)
         result = replica.append_batch(
-            entries, epoch, producer_id, producer_seq, frame=frame
+            entries, epoch, producer_id, producer_seq, frame=frame, sizes=sizes
         )
         latency = self.cost_model.request(len(entries)) + result.latency
         self.metrics.counter(_M_MESSAGES_IN).increment(len(entries))

@@ -37,7 +37,7 @@ from repro.common.metrics import MetricsRegistry, metric_name
 from repro.common.records import (
     ConsumerRecord,
     TopicPartition,
-    estimate_size,
+    payload_size,
 )
 from repro.chaos.failpoints import failpoint
 from repro.cluster.controller import ClusterController
@@ -51,6 +51,7 @@ from repro.messaging.fetchbuffer import (
     inflate_all,
 )
 from repro.messaging.offset_manager import OFFSETS_TOPIC, OffsetManager
+from repro.messaging.partition import ProduceResult
 from repro.messaging.quotas import QuotaManager
 from repro.messaging.replication import ReplicationManager, ReplicationStats
 from repro.messaging.topic import CLEANUP_COMPACT, TopicConfig
@@ -263,6 +264,7 @@ class MessagingCluster:
         epoch: int,
         isr: list[int],
     ) -> None:
+        followers = []
         for broker in self._brokers.values():
             if not broker.hosts(partition) or not broker.online:
                 continue
@@ -271,6 +273,17 @@ class MessagingCluster:
                 replica.become_leader(epoch, isr)
             else:
                 replica.become_follower(epoch)
+                followers.append(replica)
+        # A follower that lived through the change keeps the new epoch, so
+        # the replication loop's epoch check cannot see a tail the new leader
+        # never had; reconcile it against the leader's log now.  (A replica
+        # that was offline keeps its old epoch and is reconciled on its
+        # first fetch instead; a new partition's first epoch has no earlier
+        # leader to diverge from.)
+        if leader is not None and epoch > 1:
+            leader_replica = self._brokers[leader].replica(partition)
+            for replica in followers:
+                replica.reconcile_with(leader_replica)
 
     def _apply_isr(self, partition: TopicPartition, isr: list[int]) -> None:
         leader = self.controller.leader_for(partition)
@@ -305,21 +318,22 @@ class MessagingCluster:
         # Armed by chaos schedules to drop the request before it reaches the
         # leader — the client sees a transient error, nothing is appended.
         failpoint("cluster.produce", partition=tp, acks=acks)
+        now = self.clock.now()
         stamped = [
-            (k, v, ts if ts is not None else self.clock.now(), h or {})
+            (k, v, ts if ts is not None else now, h or {})
             for (k, v, ts, h) in entries
         ]
+        # Each record's payload size is computed exactly once — here, or by
+        # the producer into its frame — and carried down to the log.
+        sizes = None
+        if frame is None:
+            sizes = [payload_size(k, v, h) for (k, v, _ts, h) in stamped]
         ack = self._produce_to(
-            tp, stamped, acks, producer_id, producer_seq, frame=frame
+            tp, stamped, acks, producer_id, producer_seq, frame=frame,
+            sizes=sizes,
         )
         if client_id is not None:
-            if frame is not None:
-                batch_bytes = frame.wire_bytes
-            else:
-                batch_bytes = sum(
-                    estimate_size(k) + estimate_size(v) + estimate_size(h)
-                    for (k, v, _ts, h) in stamped
-                )
+            batch_bytes = frame.wire_bytes if frame is not None else sum(sizes)
             throttle = self.quotas.record_produce(client_id, batch_bytes)
             if throttle:
                 ack.latency += throttle
@@ -333,6 +347,7 @@ class MessagingCluster:
         producer_id: int | None = None,
         producer_seq: int | None = None,
         frame: BatchFrame | None = None,
+        sizes: list[int] | tuple[int, ...] | None = None,
     ) -> ProduceAck:
         if acks not in _ACK_MODES:
             raise ConfigError(f"unknown acks mode {acks!r}; expected {_ACK_MODES}")
@@ -344,13 +359,13 @@ class MessagingCluster:
         if frame is not None:
             # Compressed batch: the wire carries the frame, and the producer
             # paid one deflate pass over the logical payload.
+            sizes = frame.sizes
             batch_bytes = frame.wire_bytes
             latency = self.cost_model.compress(frame.payload_bytes)
         else:
-            batch_bytes = sum(
-                estimate_size(k) + estimate_size(v) + estimate_size(h)
-                for (k, v, _ts, h) in entries
-            )
+            if sizes is None:
+                sizes = [payload_size(k, v, h) for (k, v, _ts, h) in entries]
+            batch_bytes = sum(sizes)
             latency = 0.0
         if acks == ACKS_NONE:
             latency += self.cost_model.network_oneway(batch_bytes)
@@ -363,11 +378,14 @@ class MessagingCluster:
                 f"{config.min_insync_replicas}"
             )
         result, broker_latency = leader_broker.produce(
-            tp, entries, state.epoch, producer_id, producer_seq, frame=frame
+            tp, entries, state.epoch, producer_id, producer_seq, frame=frame,
+            sizes=sizes,
         )
         latency += broker_latency
         if acks == ACKS_ALL and not result.duplicate:
-            latency += self._replicate_synchronously(tp, state, batch_bytes)
+            latency += self._replicate_synchronously(
+                tp, state, batch_bytes, result
+            )
         self.metrics.histogram(_M_PRODUCE_LATENCY[acks]).observe(latency)
         self.metrics.counter(_M_MESSAGES_IN).increment(len(entries))
         return ProduceAck(
@@ -375,13 +393,22 @@ class MessagingCluster:
         )
 
     def _replicate_synchronously(
-        self, tp: TopicPartition, state: Any, batch_bytes: int
+        self,
+        tp: TopicPartition,
+        state: Any,
+        batch_bytes: int,
+        result: ProduceResult,
     ) -> float:
         """acks=all: push the new records to every ISR follower and wait.
 
         Followers replicate in parallel, so the added latency is the slowest
         follower's (network + append), matching the paper's observation that
         maximum durability waits for all acknowledgments.
+
+        The leader pushes the records it just appended (``result.messages``,
+        with their frames) to each follower whose log ends where the batch
+        begins — the common case — and reads its own log only for a
+        follower that is behind.
 
         An ISR member that is unreachable (crashed but its session has not
         expired yet) cannot simply be skipped: acks=all promises every
@@ -405,20 +432,27 @@ class MessagingCluster:
                 continue
             follower_replica = follower_broker.replica(tp)
             fetch_from = follower_replica.log_end_offset
-            pending = leader_replica.fetch(
-                fetch_from,
-                max_messages=1 << 30,
-                committed_only=False,
-            )
-            # Ship the leader's compressed frames with the records so the
-            # follower stores the identical opaque blobs (no re-encode).
-            frames = None
-            if pending.messages:
-                frames = leader_replica.log.frames_between(
-                    pending.messages[0].offset, pending.messages[-1].offset
-                )
+            if fetch_from == result.base_offset:
+                # The leader serves the push from its page cache like the
+                # fetch it replaces; only the segment scan is saved.
+                leader_replica.log.serve_extents(result.extents)
+                messages, frames = result.messages, result.frames
+            else:
+                messages = leader_replica.fetch(
+                    fetch_from,
+                    max_messages=1 << 30,
+                    committed_only=False,
+                ).messages
+                # Ship the leader's compressed frames with the records so
+                # the follower stores the identical opaque blobs (no
+                # re-encode).
+                frames = None
+                if messages:
+                    frames = leader_replica.log.frames_between(
+                        messages[0].offset, messages[-1].offset
+                    )
             append_latency = follower_replica.replicate_batch(
-                pending.messages, frames=frames
+                messages, frames=frames
             )
             leader_replica.record_follower_position(
                 follower_id, follower_replica.log_end_offset

@@ -20,7 +20,7 @@ appending duplicates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.compression import BatchFrame
@@ -29,7 +29,12 @@ from repro.common.errors import (
     NotLeaderForPartitionError,
     StaleEpochError,
 )
-from repro.common.records import TRACE_HEADER, StoredMessage, TopicPartition
+from repro.common.records import (
+    TRACE_HEADER,
+    StoredMessage,
+    TopicPartition,
+    estimate_size,
+)
 from repro.observability.trace import current_tracer
 from repro.storage.log import PartitionLog, ReadResult
 from repro.storage.tiered.tier import ColdTier
@@ -41,12 +46,22 @@ ROLE_OFFLINE = "offline"
 
 @dataclass
 class ProduceResult:
-    """Offsets assigned to a produced batch plus storage latency."""
+    """Offsets assigned to a produced batch plus storage latency.
+
+    ``messages`` are the records the leader appended and ``frames`` the
+    compressed-frame registry entries covering them: an ``acks=all`` leader
+    pushes both to each in-sync follower instead of reading them back.
+    ``extents`` are the log runs they were written to, which the push
+    charges to the leader's page cache as the read it stands in for.
+    """
 
     base_offset: int
     last_offset: int
     latency: float
     duplicate: bool = False
+    messages: list[StoredMessage] = field(default_factory=list)
+    frames: list[tuple[int, int, BatchFrame]] | None = None
+    extents: list[tuple[str, int, int]] = field(default_factory=list)
 
 
 class PartitionReplica:
@@ -106,6 +121,37 @@ class PartitionReplica:
         self._follower_leo.clear()
         self._isr = []
 
+    def reconcile_with(self, leader: "PartitionReplica") -> int:
+        """Cut this follower's log where it diverges from ``leader``'s.
+
+        Records below the high watermark are committed, so they match the
+        leader's (short of an unclean election, whose leader may end below
+        it).  Above it, the first record the leader holds differently, or
+        that lies past the leader's log end, starts a tail the leader never
+        had (an uncommitted write to a deposed leader); it and everything
+        after it are truncated and fetched again.  Returns the number of
+        records removed.
+        """
+        leader_end = leader.log.log_end_offset
+        start = min(self.high_watermark, leader_end)
+        if self.log.log_end_offset <= start:
+            return 0
+        start = max(
+            start, self.log.log_start_offset, leader.log.log_start_offset
+        )
+        # Offsets strictly increase, so this many records from ``start``
+        # cover the follower's whole tail on both sides.
+        span = self.log.log_end_offset - start
+        mine = self.log.records_from(start, span)
+        theirs = {m.offset: m for m in leader.log.records_from(start, span)}
+        for message in mine:
+            if message.offset >= leader_end:
+                return self.truncate_to(message.offset)
+            other = theirs.get(message.offset)
+            if other is not None and other != message:
+                return self.truncate_to(message.offset)
+        return 0
+
     def mark_offline(self) -> None:
         self.role = ROLE_OFFLINE
 
@@ -118,6 +164,7 @@ class PartitionReplica:
         producer_id: int | None = None,
         producer_seq: int | None = None,
         frame: BatchFrame | None = None,
+        sizes: list[int] | tuple[int, ...] | None = None,
     ) -> ProduceResult:
         """Leader-side append of a batch of (key, value, timestamp, headers).
 
@@ -125,7 +172,9 @@ class PartitionReplica:
         lower sequence) is deduplicated and the original offsets returned —
         the idempotent-producer upgrade from at-least-once.  ``frame`` is the
         producer's compressed blob for this batch: the log stores it as an
-        opaque unit and charges storage by its wire bytes.
+        opaque unit and charges storage by its wire bytes.  ``sizes`` are the
+        entries' payload bytes as the caller computed them; the producer
+        headers stamped here are added to them exactly.
         """
         self._check_leader(epoch)
         if not entries:
@@ -146,6 +195,8 @@ class PartitionReplica:
         if producer_id is not None and producer_seq is not None:
             # Producer state travels inside the log (as in Kafka batch
             # headers) so a newly elected leader can keep deduplicating.
+            if sizes is not None:
+                sizes = _stamped_sizes(entries, sizes, producer_id, producer_seq)
             entries = [
                 (
                     key,
@@ -157,14 +208,25 @@ class PartitionReplica:
             ]
         start_offset = self.log.log_end_offset
         try:
-            batch = self.log.append_batch(entries, frame=frame)
+            batch = self.log.append_batch(entries, frame=frame, sizes=sizes)
         except ConfigError:
             # Per-record semantics: records before the failing one were
             # appended, so their transaction state must still be tracked.
             self._track_entry_transactions(entries, start_offset, self.log.log_end_offset)
             raise
         self._track_entry_transactions(entries, batch.base_offset, self.log.log_end_offset)
-        result = ProduceResult(batch.base_offset, batch.last_offset, batch.latency)
+        result = ProduceResult(
+            batch.base_offset,
+            batch.last_offset,
+            batch.latency,
+            messages=batch.messages,
+            frames=(
+                [(batch.base_offset, batch.last_offset, batch.frame)]
+                if batch.frame is not None
+                else None
+            ),
+            extents=batch.extents,
+        )
         tracer = current_tracer()
         if tracer is not None:
             now = self.log.clock.now()
@@ -180,7 +242,11 @@ class PartitionReplica:
                     )
         if producer_id is not None and producer_seq is not None:
             self._producer_seqs[producer_id] = producer_seq
-            self._producer_results[(producer_id, producer_seq)] = result
+            # Only the offsets are cached: holding the records would keep
+            # them alive after retention drops their segment.
+            self._producer_results[(producer_id, producer_seq)] = ProduceResult(
+                result.base_offset, result.last_offset, result.latency
+            )
         if self._only_isr_member():
             self._advance_high_watermark()
         return result
@@ -298,43 +364,34 @@ class PartitionReplica:
 
         The whole fetched batch lands through one
         :meth:`~repro.storage.log.PartitionLog.append_stored_batch` call —
-        one roll/index/page-cache pass instead of one per record.  ``frames``
-        carries the leader's compressed-batch registry entries for the copied
-        range: the follower shares the immutable frame objects, so compressed
-        batches cross the replication hop without being re-encoded.
+        one roll/index/page-cache pass instead of one per record.  Records
+        are immutable, so the follower stores the leader's objects
+        themselves; ``frames`` carries the leader's compressed-batch
+        registry entries for the copied range, shared the same way, so
+        compressed batches cross the replication hop without being
+        re-encoded.
         """
         if self.role == ROLE_LEADER:
             raise ConfigError(f"{self.partition}: leader cannot replicate from itself")
         if not messages:
             return 0.0
-        copies = [
-            StoredMessage(
-                key=message.key,
-                value=message.value,
-                timestamp=message.timestamp,
-                offset=message.offset,
-                headers=dict(message.headers),
-                size=message.size,
-                stored_size=message.stored_size,
-            )
-            for message in messages
-        ]
-        latency = self.log.append_stored_batch(copies, frames=frames).latency
-        for copy in copies:
-            if copy.headers:
-                self._absorb_producer_state(copy)
+        latency = self.log.append_stored_batch(messages, frames=frames).latency
+        for message in messages:
+            if message.headers:
+                self._absorb_producer_state(message)
         tracer = current_tracer()
         if tracer is not None:
             now = self.log.clock.now()
-            for copy in copies:
-                ctx = copy.headers.get(TRACE_HEADER) if copy.headers else None
+            for message in messages:
+                headers = message.headers
+                ctx = headers.get(TRACE_HEADER) if headers else None
                 if ctx is not None:
                     tracer.record(
                         "replication.replicate", ctx, now, now + latency,
                         follower=self.broker_id,
                         topic=self.partition.topic,
                         partition=self.partition.partition,
-                        offset=copy.offset,
+                        offset=message.offset,
                     )
         return latency
 
@@ -397,6 +454,26 @@ class PartitionReplica:
         self._advance_high_watermark()
         return self.high_watermark
 
+    def follower_is_current(
+        self, follower_id: int, follower: "PartitionReplica"
+    ) -> bool:
+        """Whether a replica fetch by ``follower`` would find nothing to copy,
+        reconcile or record.
+
+        True when this leader and the follower agree on the log end offset
+        and the leader epoch, and the leader has already recorded the
+        follower at that offset.  Both sides are checked: the leader's
+        bookkeeping alone cannot see a follower that restarted under an old
+        epoch or whose log has since moved on its own.
+        """
+        leo = self.log.log_end_offset
+        return (
+            self.role == ROLE_LEADER
+            and follower.log.log_end_offset == leo
+            and follower.leader_epoch == self.leader_epoch
+            and self._follower_leo.get(follower_id) == leo
+        )
+
     def set_isr(self, isr: list[int]) -> None:
         """Controller pushed a new ISR; HW only depends on in-sync members."""
         if self.role == ROLE_LEADER:
@@ -455,3 +532,30 @@ class PartitionReplica:
             f"{self.role}, epoch={self.leader_epoch}, "
             f"leo={self.log_end_offset}, hw={self.high_watermark})"
         )
+
+
+def _stamped_sizes(
+    entries: list[tuple[Any, Any, float, dict[str, Any]]],
+    sizes: list[int] | tuple[int, ...],
+    producer_id: int,
+    producer_seq: int,
+) -> list[int]:
+    """Payload sizes after ``__pid``/``__seq`` are stamped into each entry's
+    headers, computed exactly rather than re-walking the records.
+
+    A header the entry already carries (the transactional producer stamps
+    ``__pid`` itself) is replaced, not added, so it changes the size by the
+    difference of the two values only.
+    """
+    stamp = {"__pid": producer_id, "__seq": producer_seq}
+    added = {key: estimate_size({key: value}) for key, value in stamp.items()}
+    out = []
+    for size, entry in zip(sizes, entries):
+        headers = entry[3]
+        for key, value in stamp.items():
+            if key in headers:
+                size += estimate_size(value) - estimate_size(headers[key])
+            else:
+                size += added[key]
+        out.append(size)
+    return out

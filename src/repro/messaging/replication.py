@@ -99,10 +99,47 @@ class ReplicationManager:
             return
         controller = self.cluster.controller
         leader_broker = self.cluster.broker(leader_id)
-        follower_broker = self.cluster.broker(follower_id)
         leader_replica = leader_broker.replica(partition)
-        follower_replica = follower_broker.replica(partition)
+        follower_replica = self.cluster.broker(follower_id).replica(partition)
 
+        if leader_replica.follower_is_current(follower_id, follower_replica):
+            # Caught up: a fetch would copy nothing and record nothing new,
+            # so none is made (most passes find most followers here).  The
+            # follower only needs the high watermark the response carries.
+            leader_hw = leader_replica.high_watermark
+        else:
+            leader_hw = self._fetch(
+                partition, leader_broker, follower_id, follower_replica, stats
+            )
+            if leader_hw is None:
+                return
+        follower_replica.update_high_watermark(leader_hw)
+        stats.partitions_synced += 1
+
+        # ISR maintenance against the post-fetch lag.
+        lag = leader_replica.log_end_offset - follower_replica.log_end_offset
+        isr = controller.isr_for(partition)
+        if lag > self.max_lag_messages and follower_id in isr:
+            new_isr = controller.shrink_isr(partition, follower_id)
+            leader_replica.set_isr(new_isr)
+            stats.isr_shrinks.append((partition, follower_id))
+        elif lag == 0 and follower_id not in isr:
+            new_isr = controller.expand_isr(partition, follower_id)
+            leader_replica.set_isr(new_isr)
+            stats.isr_expansions.append((partition, follower_id))
+
+    def _fetch(
+        self,
+        partition: TopicPartition,
+        leader_broker: "Broker",  # noqa: F821 - forward ref, avoids cycle
+        follower_id: int,
+        follower_replica: "PartitionReplica",  # noqa: F821
+        stats: ReplicationStats,
+    ) -> int | None:
+        """Reconcile the follower's tail, then copy what the leader has past
+        it; returns the leader's high watermark, or None if the leader could
+        not serve the fetch."""
+        leader_replica = leader_broker.replica(partition)
         # Epoch reconciliation: a follower that lived through a leadership
         # change (e.g. a deposed leader) may hold an un-replicated tail the
         # new leader never had — possibly in the SAME offset range as the new
@@ -132,7 +169,7 @@ class ReplicationManager:
             NotLeaderForPartitionError,
             OffsetOutOfRangeError,
         ):
-            return
+            return None
         if messages:
             # Frames ride along so compressed batches land on the follower as
             # the same opaque blobs the leader stores (no re-encode).
@@ -146,17 +183,4 @@ class ReplicationManager:
             leader_hw = leader_replica.record_follower_position(
                 follower_id, follower_replica.log_end_offset
             )
-        follower_replica.update_high_watermark(leader_hw)
-        stats.partitions_synced += 1
-
-        # ISR maintenance against the post-fetch lag.
-        lag = leader_replica.log_end_offset - follower_replica.log_end_offset
-        isr = controller.isr_for(partition)
-        if lag > self.max_lag_messages and follower_id in isr:
-            new_isr = controller.shrink_isr(partition, follower_id)
-            leader_replica.set_isr(new_isr)
-            stats.isr_shrinks.append((partition, follower_id))
-        elif lag == 0 and follower_id not in isr:
-            new_isr = controller.expand_isr(partition, follower_id)
-            leader_replica.set_isr(new_isr)
-            stats.isr_expansions.append((partition, follower_id))
+        return leader_hw

@@ -15,15 +15,20 @@ broker adds request/network overheads on top).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Any
+from typing import Any, Sequence
 
 from repro.common.clock import Clock, SimClock
 from repro.common.compression import BatchFrame
 from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import ConfigError, OffsetOutOfRangeError
-from repro.common.records import StoredMessage
+from repro.common.records import (
+    RECORD_FRAMING_BYTES,
+    StoredMessage,
+    payload_size,
+    stored_message,
+)
 from repro.chaos.failpoints import failpoint
 from repro.storage.index import SparseOffsetIndex
 from repro.storage.pagecache import PageCache
@@ -62,13 +67,20 @@ class BatchAppendResult:
 
     ``latency`` is the same total the per-record path would have charged
     (record costs are accumulated in append order), so batched and looped
-    appends are indistinguishable in simulated time.
+    appends are indistinguishable in simulated time.  ``messages`` are the
+    appended records and ``frame`` the compressed frame registered for them
+    (``None`` when the batch is stored uncompressed); ``extents`` are the
+    ``(file, position, bytes)`` runs the records were written to, one per
+    segment they landed in.
     """
 
     base_offset: int
     last_offset: int
     latency: float
     count: int
+    messages: list[StoredMessage] = field(default_factory=list)
+    frame: BatchFrame | None = None
+    extents: list[tuple[str, int, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -192,6 +204,7 @@ class PartitionLog:
         self,
         entries: list[tuple[Any, Any, float | None, dict[str, Any] | None]],
         frame: BatchFrame | None = None,
+        sizes: Sequence[int] | None = None,
     ) -> BatchAppendResult:
         """Append a batch of ``(key, value, timestamp, headers)`` at the tail.
 
@@ -202,55 +215,60 @@ class PartitionLog:
         latency — but charges the page cache once per segment run and updates
         the index in bulk, so the wall-clock cost amortizes over the batch.
 
+        ``sizes`` are the entries' logical payload bytes (without framing)
+        when the caller already knows them — the produce path computes them
+        once per record and carries them here, so the records are built
+        without walking their payloads again.
+
         With ``frame`` set the batch arrived as one compressed blob: each
         record's physical footprint becomes its share of the frame's wire
         bytes, and the frame is registered so fetches can serve the blob
-        without re-materializing records.
+        without re-materializing records.  The result carries the appended
+        records and the registered frame, which is what a leader pushes to
+        its in-sync followers.
         """
         failpoint("log.append", log=self.name, count=len(entries))
         now = self.clock.now()
-        messages: list[StoredMessage] = []
-        error: ConfigError | None = None
-        offset = self._next_offset
-        max_bytes = self.config.max_message_bytes
-        for key, value, timestamp, headers in entries:
-            message = StoredMessage(
-                key=key,
-                value=value,
-                timestamp=timestamp if timestamp is not None else now,
-                offset=offset,
-                headers=headers if headers is not None else {},
-            )
-            if message.size > max_bytes:
-                error = ConfigError(
-                    f"message of {message.size}B exceeds max_message_bytes="
-                    f"{max_bytes}"
-                )
-                break
-            messages.append(message)
-            offset += 1
-        if (
-            frame is not None
-            and error is None
-            and len(messages) == frame.count
-        ):
-            for message, stored in zip(messages, frame.stored_sizes()):
-                message.stored_size = stored
+        if sizes is None:
+            sizes = [payload_size(k, v, h) for k, v, _ts, h in entries]
+        n = len(entries)
+        valid = n
+        limit = self.config.max_message_bytes - RECORD_FRAMING_BYTES
+        if n and max(sizes) > limit:
+            valid = next(i for i, size in enumerate(sizes) if size > limit)
+        logical = [size + RECORD_FRAMING_BYTES for size in sizes[:valid]]
+        if frame is not None and valid == n == frame.count:
+            physical = frame.stored_sizes()
         else:
             frame = None  # partial batch: store records uncompressed
-        latency = self._append_run(messages, now)
-        if frame is not None and messages:
-            self.register_frame(
-                messages[0].offset, messages[-1].offset, frame
+            physical = logical
+        base = self._next_offset
+        offsets = range(base, base + valid)
+        messages = [
+            stored_message(
+                key,
+                value,
+                timestamp if timestamp is not None else now,
+                offset,
+                headers if headers is not None else {},
+                size,
+                stored,
             )
-        if error is not None:
-            raise error
-        if not messages:
-            return BatchAppendResult(
-                self._next_offset, self._next_offset - 1, 0.0, 0
+            for (key, value, timestamp, headers), offset, size, stored in zip(
+                entries, offsets, logical, physical
+            )
+        ]
+        extents: list[tuple[str, int, int]] = []
+        latency = self._append_run(messages, now, physical, offsets, extents)
+        if frame is not None and messages:
+            self.register_frame(base, base + valid - 1, frame)
+        if valid < n:
+            raise ConfigError(
+                f"message of {sizes[valid] + RECORD_FRAMING_BYTES}B exceeds "
+                f"max_message_bytes={self.config.max_message_bytes}"
             )
         return BatchAppendResult(
-            messages[0].offset, messages[-1].offset, latency, len(messages)
+            base, base + valid - 1, latency, valid, messages, frame, extents
         )
 
     def append_stored_batch(
@@ -301,22 +319,34 @@ class PartitionLog:
             run[0].offset, run[-1].offset, latency, len(run)
         )
 
-    def _append_run(self, messages: list[StoredMessage], now: float) -> float:
+    def _append_run(
+        self,
+        messages: list[StoredMessage],
+        now: float,
+        sizes: Sequence[int] | None = None,
+        offsets: Sequence[int] | None = None,
+        extents: list[tuple[str, int, int]] | None = None,
+    ) -> float:
         """Append pre-built, offset-ordered records, amortizing roll checks,
         index updates and page-cache charges over segment-contiguous chunks.
 
-        Returns the charged latency; advances ``_next_offset`` past the last
-        record.  Roll decisions replay the per-record rule exactly (an empty
-        active segment always accepts a record; otherwise the segment rolls
-        when byte or message capacity would be exceeded).
+        ``sizes``/``offsets`` are the records' stored sizes and offsets when
+        the caller has them at hand; ``extents``, when given, collects the
+        ``(file, position, bytes)`` each chunk was written to.  Returns the
+        charged latency; advances ``_next_offset`` past the last record.
+        Roll decisions replay the per-record rule exactly (an empty active
+        segment always accepts a record; otherwise the segment rolls when
+        byte or message capacity would be exceeded).
         """
         if not messages:
             return 0.0
         config = self.config
         segment_max_bytes = config.segment_max_bytes
         segment_max_messages = config.segment_max_messages
-        sizes = [m.stored_size for m in messages]
-        offsets = [m.offset for m in messages]
+        if sizes is None:
+            sizes = [m.stored_size for m in messages]
+        if offsets is None:
+            offsets = [m.offset for m in messages]
         # cum[j] = bytes of the first j records; strictly increasing (every
         # record carries at least its framing bytes), so chunk-fit decisions
         # are a bisect rather than a per-record scan.
@@ -369,9 +399,12 @@ class PartitionLog:
             self._indexes[active.base_offset].extend_run(
                 chunk_offsets, chunk_positions, base + cum[end]
             )
+            file_id = self._file_id(active)
             latency = self.page_cache.write_batch(
-                self._file_id(active), start, sizes[i:end], latency
+                file_id, start, sizes[i:end], latency
             )
+            if extents is not None:
+                extents.append((file_id, start, base + cum[end] - start))
             vnext = chunk_offsets[-1] + 1
             i = end
         self._next_offset = vnext
@@ -456,6 +489,32 @@ class PartitionLog:
                 cursor = max(cursor, segments[seg_idx].base_offset)
         next_offset = collected[-1].offset + 1 if collected else offset
         return ReadResult(collected, latency, self._next_offset, next_offset)
+
+    def serve_extents(self, extents: list[tuple[str, int, int]]) -> None:
+        """Charge the page cache for serving freshly appended runs.
+
+        A leader pushing a batch it just appended to a follower reads those
+        bytes from its page cache, exactly as a fetch of the same range
+        would, so the cache's residency, hit counts and sequential-read
+        state evolve as they did when the leader read its log back.  The
+        records are already in hand, so no segment is scanned.
+        """
+        for file_id, position, nbytes in extents:
+            self.page_cache.read(file_id, position, nbytes)
+
+    def records_from(self, offset: int, max_messages: int) -> list[StoredMessage]:
+        """Up to ``max_messages`` retained records with offset >= ``offset``.
+
+        A metadata path (replica reconciliation), not a fetch: no page-cache
+        charge, no failpoint.
+        """
+        out: list[StoredMessage] = []
+        segments = self._segments
+        i = self._segment_index_for(offset)
+        while i < len(segments) and len(out) < max_messages:
+            out.extend(segments[i].read_from(offset, max_messages - len(out)).messages)
+            i += 1
+        return out
 
     # -- compressed-batch registry -------------------------------------------------
 

@@ -68,6 +68,15 @@ class TestBatchFrame:
         assert decompress_entries(frame) == batch
         assert frame.inflated
 
+    def test_inflated_entries_are_not_kept_on_the_frame(self):
+        # A frame lives as long as its segment; it must not pin every
+        # record it ever inflated (readers keep what they need).
+        frame = compress_entries(entries(4), "zlib", 6)
+        first = frame.entries()
+        again = frame.entries()
+        assert again == first
+        assert again is not first
+
     def test_payload_bytes_match_uncompressed_accounting(self):
         batch = entries(7)
         frame = compress_entries(batch, "zlib", 6)

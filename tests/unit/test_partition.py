@@ -139,13 +139,19 @@ class TestReplicateBatch:
         with pytest.raises(ConfigError):
             replica.replicate_batch([])
 
-    def test_copies_are_independent(self):
+    def test_follower_shares_immutable_records(self):
+        # Records are immutable, so the follower stores the leader's objects
+        # rather than copies — and nobody can change one under the other.
         source = leader()
         source.append_batch([("k", {"mutable": []}, 0.0, {})])
         follower = make_replica(1)
         follower.replicate_batch(source.log.all_messages())
-        source.log.all_messages()[0].headers["x"] = 1
-        assert "x" not in follower.log.all_messages()[0].headers
+        shared = follower.log.all_messages()[0]
+        assert shared is source.log.all_messages()[0]
+        with pytest.raises(AttributeError):
+            shared.headers = {"x": 1}
+        with pytest.raises(AttributeError):
+            shared.stored_size = 1
 
 
 class TestIdempotentProduce:
