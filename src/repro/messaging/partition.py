@@ -94,6 +94,9 @@ class PartitionReplica:
         self._open_txns: dict[int, int] = {}
         self._aborted_offsets: set[int] = set()
         self._txn_record_offsets: dict[int, list[int]] = {}
+        # Whether a transaction control marker was ever appended here; until
+        # one is, a committed-only read below the bound hides nothing.
+        self._has_markers = False
 
     # -- role transitions ---------------------------------------------------------
 
@@ -321,18 +324,27 @@ class PartitionReplica:
         bound = self.high_watermark
         if isolation == "read_committed":
             bound = min(bound, self.last_stable_offset)
-        visible = []
-        for message in result.messages:
-            if message.offset >= bound:
-                break
-            if "__ctrl" in message.headers:
-                continue  # control markers are never client-visible
-            if (
-                isolation == "read_committed"
-                and message.offset in self._aborted_offsets
-            ):
-                continue
-            visible.append(message)
+        messages = result.messages
+        if (
+            messages
+            and messages[-1].offset < bound
+            and not self._has_markers
+            and not (isolation == "read_committed" and self._aborted_offsets)
+        ):
+            visible = messages  # nothing to hide: skip the per-record filter
+        else:
+            visible = []
+            for message in messages:
+                if message.offset >= bound:
+                    break
+                if "__ctrl" in message.headers:
+                    continue  # control markers are never client-visible
+                if (
+                    isolation == "read_committed"
+                    and message.offset in self._aborted_offsets
+                ):
+                    continue
+                visible.append(message)
         tracer = current_tracer()
         if tracer is not None and visible:
             now = self.log.clock.now()
@@ -402,6 +414,8 @@ class PartitionReplica:
         transaction visibility survives failover like everything else in the
         log does.
         """
+        if "__ctrl" in headers:
+            self._has_markers = True
         producer_id = headers.get("__pid")
         if producer_id is None:
             return
